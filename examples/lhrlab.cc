@@ -4,7 +4,9 @@
  *
  * Subcommands:
  *   list [--names]                  list the registered studies
- *   run <study>... | run --all      run studies (one prewarm pass)
+ *   run <study>... | run --all      run studies (one prewarm pass;
+ *                                   --jobs also fans out the
+ *                                   simulator ablations)
  *   processors                      list the eight processors
  *   benchmarks [group]              list benchmarks (nn|ns|jn|js)
  *   configs [--45nm]                list experimental configurations
@@ -71,6 +73,8 @@ usage(std::ostream &os)
         "  list [--names]\n"
         "  run <study>... | run --all  [--format text|csv|json]\n"
         "      [--out DIR] [--jobs N] [--no-prewarm]\n"
+        "      (--jobs: threads for the prewarm and for studies'\n"
+        "       inner simulations; output is the same at any N)\n"
         "  processors\n"
         "  benchmarks [nn|ns|jn|js]\n"
         "  configs [--45nm]\n"

@@ -23,7 +23,7 @@ isPowerOfTwo(int x)
 
 CacheArray::CacheArray(double capacity_kb, int ways, int line_bytes)
     : wayCount(static_cast<size_t>(ways)), accessCount(0),
-      missCount(0), stamp(0)
+      missCount(0)
 {
     if (capacity_kb <= 0.0 || ways < 1 || !isPowerOfTwo(line_bytes))
         panic("CacheArray: invalid geometry");
@@ -36,8 +36,12 @@ CacheArray::CacheArray(double capacity_kb, int ways, int line_bytes)
         std::countr_zero(static_cast<unsigned>(line_bytes)));
     setShift = static_cast<unsigned>(std::countr_zero(setCount));
     setMask = setCount - 1;
-    tags.assign(setCount * wayCount, 0);
-    ages.assign(setCount * wayCount, 0);
+    // A tag is the address shifted right by lineShift + setShift, so
+    // it can equal invalidTag only when both shifts are zero.
+    if (lineShift + setShift == 0)
+        panic("CacheArray: invalid geometry (1-byte lines need at "
+              "least two sets)");
+    tags.assign(setCount * wayCount, invalidTag);
 }
 
 double
@@ -51,8 +55,7 @@ CacheArray::missRatio() const
 void
 CacheArray::reset()
 {
-    std::fill(ages.begin(), ages.end(), 0);
-    stamp = 0;
+    std::fill(tags.begin(), tags.end(), invalidTag);
     accessCount = 0;
     missCount = 0;
 }

@@ -9,11 +9,13 @@
  * executions, and (b) cross-validate the analytic curves
  * (bench/ablation_tracesim).
  *
- * The arrays store tags and last-touch ages in flat contiguous
- * vectors (no per-set node containers): LRU ordering is recovered by
- * comparing ages, which makes hit/miss decisions identical to an
- * explicit recency list while doing no allocation or element
- * shuffling on the access path.
+ * A cache array is one flat vector of tags, each set's ways kept in
+ * recency order (most recent first) with invalid ways, marked by a
+ * sentinel tag, at the tail. A hit rotates its way to the front and
+ * a miss shifts the set down one and writes the front, so the tail
+ * is always the victim: hit/miss decisions are those of an explicit
+ * per-set recency list, with one 8-byte word per line and no
+ * allocation on the access path.
  */
 
 #ifndef LHR_CACHESIM_CACHE_SIM_HH
@@ -52,28 +54,17 @@ class CacheArray
         const uint64_t tag = line >> setShift;
 
         uint64_t *setTags = &tags[set * wayCount];
-        uint64_t *setAges = &ages[set * wayCount];
-        // Hit scan only; the victim scan below runs just on misses.
         for (size_t way = 0; way < wayCount; ++way) {
-            if (setTags[way] == tag && setAges[way] != 0) {
-                // Hit: bump to most recent.
-                setAges[way] = ++stamp;
+            if (setTags[way] == tag) {
+                // Hit: move to most recent.
+                moveToFront(setTags, way, tag);
                 return true;
             }
         }
-        // Miss: fill an invalid way if any (age 0 sorts first), else
-        // evict the least recently used one (first minimum).
+        // Miss: the tail way is the least recently used one, or an
+        // invalid way when the set is not yet full.
         ++missCount;
-        size_t victim = 0;
-        uint64_t oldest = setAges[0];
-        for (size_t way = 1; way < wayCount; ++way) {
-            if (setAges[way] < oldest) {
-                oldest = setAges[way];
-                victim = way;
-            }
-        }
-        setTags[victim] = tag;
-        setAges[victim] = ++stamp;
+        moveToFront(setTags, wayCount - 1, tag);
         return false;
     }
 
@@ -88,6 +79,17 @@ class CacheArray
     void reset();
 
   private:
+    /** Tag of an invalid way; no address maps to it (see ctor). */
+    static constexpr uint64_t invalidTag = ~uint64_t{0};
+
+    /** Slide ways [0, way) down by one and put tag at the front. */
+    static void moveToFront(uint64_t *setTags, size_t way, uint64_t tag)
+    {
+        for (; way > 0; --way)
+            setTags[way] = setTags[way - 1];
+        setTags[0] = tag;
+    }
+
     size_t wayCount;
     size_t setCount;
     unsigned lineShift;          ///< log2(line bytes)
@@ -95,11 +97,11 @@ class CacheArray
     uint64_t setMask;            ///< setCount - 1
     uint64_t accessCount;
     uint64_t missCount;
-    uint64_t stamp;              ///< monotonic access clock
-    /** setCount x wayCount tags, row-major by set. */
+    /**
+     * setCount x wayCount tags, row-major by set, each set most
+     * recent first; invalidTag marks the (trailing) invalid ways.
+     */
     std::vector<uint64_t> tags;
-    /** Last-touch stamp per way; 0 marks an invalid way. */
-    std::vector<uint64_t> ages;
 };
 
 /** A fully-associative LRU TLB. */

@@ -8,6 +8,7 @@
 
 #include "study/builtin.hh"
 
+#include <array>
 #include <cmath>
 
 #include "core/lab.hh"
@@ -155,20 +156,31 @@ runAblationPipesim(Lab &, ReportContext &ctx)
     // stack; 3M instructions tightens the IPC estimate an order of
     // magnitude over the old 300k cap.
     const uint64_t instructions = 3000000;
+    const std::array<const char *, 4> procIds = {
+        "i7 (45)", "C2D (65)", "Atom (45)", "Pentium4 (130)"};
+    const std::array<const char *, 5> benchNames = {
+        "hmmer", "gcc", "mcf", "xalan", "povray"};
     Sink &sink = ctx.out();
 
     sink.prose(msgOf(
         "Ablation: micro-op pipeline simulation vs analytic CPI\n(",
         instructions, "-instruction traces, IPC per thread)\n\n"));
 
-    for (const char *procId :
-         {"i7 (45)", "C2D (65)", "Atom (45)", "Pentium4 (130)"}) {
-        const auto &spec = processorById(procId);
-        const PerfModel analytic(spec);
-        const auto pipeCfg =
-            PipelineConfig::of(spec, spec.stockClockGhz);
+    // The processor x benchmark simulations are independent: run
+    // them side by side, then report in processor-major order.
+    const size_t perProc = benchNames.size();
+    std::vector<PipelineResult> runs(procIds.size() * perProc);
+    ctx.parallelFor(runs.size(), [&](size_t i) {
+        const auto &spec = processorById(procIds[i / perProc]);
+        PipelineSim pipe(PipelineConfig::of(spec, spec.stockClockGhz),
+                         structuralLevels(spec));
+        runs[i] = pipe.run(benchmarkByName(benchNames[i % perProc]),
+                           instructions, 99);
+    });
 
-        const auto levels = structuralLevels(spec);
+    for (size_t p = 0; p < procIds.size(); ++p) {
+        const auto &spec = processorById(procIds[p]);
+        const PerfModel analytic(spec);
 
         sink.prose(spec.id + " @ " +
                    formatFixed(spec.stockClockGhz, 2) + " GHz:\n");
@@ -176,11 +188,9 @@ runAblationPipesim(Lab &, ReportContext &ctx)
                         {leftColumn("Benchmark"), {"IPC pipe"},
                          {"IPC analytic"}, {"ratio"}, {"mem wait %"},
                          {"branch wait %"}});
-        for (const char *name :
-             {"hmmer", "gcc", "mcf", "xalan", "povray"}) {
-            const auto &bench = benchmarkByName(name);
-            PipelineSim pipe(pipeCfg, levels);
-            const auto r = pipe.run(bench, instructions, 99);
+        for (size_t b = 0; b < benchNames.size(); ++b) {
+            const auto &bench = benchmarkByName(benchNames[b]);
+            const PipelineResult &r = runs[p * perProc + b];
             const double analyticIpc =
                 analytic.threadCpi(bench, spec.stockClockGhz, 1, 1.0)
                     .ipc();
@@ -269,6 +279,9 @@ runAblationTracesim(Lab &, ReportContext &ctx)
 {
     const auto &i7 = processorById("i7 (45)");
     const uint64_t traceLength = 400000;
+    const std::array<const char *, 7> benchNames = {
+        "hmmer", "gcc", "mcf", "libquantum", "db", "xalan",
+        "fluidanimate"};
     Sink &sink = ctx.out();
 
     sink.prose(msgOf(
@@ -276,17 +289,29 @@ runAblationTracesim(Lab &, ReportContext &ctx)
         "(i7 (45) geometry, ", traceLength,
         "-instruction synthetic traces)\n\n"));
 
+    // One trace per benchmark with the collector offloaded, plus db
+    // with a same-core collector in the last slot; the offloaded db
+    // profile is db's own row.
+    std::vector<Characterization> profiles(benchNames.size() + 1);
+    ctx.parallelFor(profiles.size(), [&](size_t i) {
+        profiles[i] = i < benchNames.size()
+            ? characterizeWorkload(benchmarkByName(benchNames[i]), i7,
+                                   traceLength, 7)
+            : characterizeWorkload(benchmarkByName("db"), i7,
+                                   traceLength, 7, 0.7);
+    });
+
     sink.beginTable("mpki",
                     {leftColumn("Benchmark"), {"L1 MPKI sim"},
                      {"analytic"}, {"LLC MPKI sim"}, {"analytic"},
                      {"misp/Ki sim"}, {"target"}, {"dTLB MPKI"}});
     const auto hierarchy = makeHierarchy(i7);
-    for (const char *name :
-         {"hmmer", "gcc", "mcf", "libquantum", "db", "xalan",
-          "fluidanimate"}) {
-        const auto &bench = benchmarkByName(name);
-        const auto profile =
-            characterizeWorkload(bench, i7, traceLength, 7);
+    const Characterization *offloaded = nullptr;
+    for (size_t b = 0; b < benchNames.size(); ++b) {
+        const auto &bench = benchmarkByName(benchNames[b]);
+        const Characterization &profile = profiles[b];
+        if (bench.name == "db")
+            offloaded = &profile;
 
         const auto analytic = hierarchy.evaluate(bench.miss, 1.0, 1.0);
 
@@ -305,16 +330,12 @@ runAblationTracesim(Lab &, ReportContext &ctx)
     sink.prose(
         "\nGC DTLB displacement (the db effect): dTLB MPKI of db with\n"
         "a same-core collector vs an offloaded one:\n");
-    const auto &db = benchmarkByName("db");
-    const auto sameCore =
-        characterizeWorkload(db, i7, traceLength, 7, 0.7);
-    const auto offloaded =
-        characterizeWorkload(db, i7, traceLength, 7, 0.0);
+    const Characterization &sameCore = profiles.back();
     sink.prose(
         "  same-core GC: " + formatFixed(sameCore.dtlbMpki, 2) +
-        "  offloaded GC: " + formatFixed(offloaded.dtlbMpki, 2) +
+        "  offloaded GC: " + formatFixed(offloaded->dtlbMpki, 2) +
         "  ratio: " +
-        formatFixed(sameCore.dtlbMpki / offloaded.dtlbMpki, 2) +
+        formatFixed(sameCore.dtlbMpki / offloaded->dtlbMpki, 2) +
         " (paper: factor ~2.5 fewer DTLB misses with the\n"
         "   collector elsewhere)\n");
 }

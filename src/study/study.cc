@@ -1,11 +1,16 @@
 #include "study/study.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "core/lab.hh"
@@ -13,6 +18,7 @@
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 namespace lhr
 {
@@ -40,6 +46,67 @@ outputFormatExtension(OutputFormat format)
       case OutputFormat::Json: return "json";
     }
     panic("unknown output format");
+}
+
+// ---- ReportContext ----------------------------------------------------
+
+namespace
+{
+
+/** Set while this thread runs a parallelFor iteration. */
+thread_local bool inFanOut = false;
+
+} // namespace
+
+ReportContext::ReportContext(Sink &sink, OutputFormat format, int jobs)
+    : sinkRef(sink), fmt(format), jobCount(jobs)
+{
+    if (jobs < 1)
+        panic(msgOf("ReportContext: jobs must be >= 1, got ", jobs));
+}
+
+void
+ReportContext::parallelFor(size_t n,
+                           const std::function<void(size_t)> &fn)
+{
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<size_t> next{0};
+    // Iterations are claimed in index order by whichever thread is
+    // free; each one's exception lands in its own slot.
+    auto drain = [&] {
+        const bool outer = inFanOut;
+        inFanOut = true;
+        for (size_t i; (i = next.fetch_add(1)) < n;) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+        inFanOut = outer;
+    };
+
+    // A nested call runs serially: its caller already holds a job.
+    const size_t helpers = inFanOut || n == 0
+        ? 0
+        : std::min(n, static_cast<size_t>(jobCount)) - 1;
+    std::vector<std::thread> threads;
+    threads.reserve(helpers);
+    for (size_t t = 0; t < helpers; ++t) {
+        try {
+            threads.emplace_back(drain);
+        } catch (const std::system_error &) {
+            break; // out of threads: the ones running finish the loop
+        }
+    }
+    drain();
+    for (auto &thread : threads)
+        thread.join();
+
+    for (const auto &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 // ---- makeStudy --------------------------------------------------------
@@ -205,9 +272,10 @@ unionGrid(const std::vector<const Study *> &studies)
 }
 
 void
-runStudy(Lab &lab, const Study &study, Sink &sink, OutputFormat format)
+runStudy(Lab &lab, const Study &study, Sink &sink, OutputFormat format,
+         int jobs)
 {
-    ReportContext ctx(sink, format);
+    ReportContext ctx(sink, format, jobs);
     study.run(lab, ctx);
     sink.close();
 }
@@ -222,6 +290,10 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
         options.format != OutputFormat::Text) {
         fatal("csv/json output of multiple studies needs --out DIR");
     }
+
+    const int jobs = options.threads > 0
+        ? options.threads
+        : ThreadPool::defaultThreadCount();
 
     if (options.prewarm) {
         const auto grid = unionGrid(studies);
@@ -259,7 +331,7 @@ runStudies(Lab &lab, const std::vector<const Study *> &studies,
 
         const auto sink =
             makeSink(*os, options.format, *study, lab.seed());
-        runStudy(lab, *study, *sink, options.format);
+        runStudy(lab, *study, *sink, options.format, jobs);
 
         if (!path.empty()) {
             std::cerr << "[" << index << "/" << studies.size() << "] "

@@ -9,9 +9,12 @@
  *   - a declared measurement grid (grid()) — the machine
  *     configurations the study will read through the memo cache —
  *     so a driver can union many studies' grids into one parallel
- *     Lab::prewarm pass before anything runs serially;
+ *     Lab::prewarm pass before the studies run, one after another;
  *   - the report itself (run()), emitted through a Sink so the same
  *     study renders as the historical console text, CSV, or JSON.
+ *     A study may fan independent inner loops out over the driver's
+ *     --jobs with ReportContext::parallelFor; its bytes do not
+ *     depend on the job count.
  *
  * Studies register in the global StudyRegistry via explicit
  * registration functions (static initializers would be dropped when
@@ -57,10 +60,8 @@ const char *outputFormatExtension(OutputFormat format);
 class ReportContext
 {
   public:
-    ReportContext(Sink &sink, OutputFormat format)
-        : sinkRef(sink), fmt(format)
-    {
-    }
+    /** @param jobs most iterations parallelFor runs at once (>= 1) */
+    ReportContext(Sink &sink, OutputFormat format, int jobs = 1);
 
     /** The sink the study writes its prose and tables to. */
     Sink &out() { return sinkRef; }
@@ -68,9 +69,22 @@ class ReportContext
     /** The format the sink renders (rarely needed by studies). */
     OutputFormat format() const { return fmt; }
 
+    /**
+     * Run fn(0) .. fn(n-1) on the calling thread plus up to jobs - 1
+     * helper threads, and return when all have finished. At most
+     * jobs iterations are in flight; a parallelFor issued from
+     * inside an iteration runs serially. Iterations must be
+     * independent and write only their own result slot; the study
+     * then reports from the slots in index order, so its output is
+     * the same at every job count. Rethrows the exception of the
+     * lowest-index iteration that threw, after every iteration ended.
+     */
+    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
+
   private:
     Sink &sinkRef;
     OutputFormat fmt;
+    int jobCount;
 };
 
 /** One reproduced figure, table, or ablation. */
@@ -132,7 +146,10 @@ struct StudyOptions
     /** Artifact directory; empty writes to stdout. */
     std::string outDir;
 
-    /** Prewarm worker threads; 0 = ThreadPool default. */
+    /**
+     * Worker threads of the prewarm and the fan-out bound of each
+     * study's ReportContext::parallelFor; 0 = ThreadPool default.
+     */
     int threads = 0;
 
     /** Skip the prewarm pass (measure serially on demand). */
@@ -146,13 +163,17 @@ struct StudyOptions
 std::vector<MachineConfig> unionGrid(
     const std::vector<const Study *> &studies);
 
-/** Run one study into an explicit sink (no prewarm; test seam). */
+/**
+ * Run one study into an explicit sink (no prewarm; test seam). `jobs`
+ * bounds the study's parallelFor; the default keeps it serial.
+ */
 void runStudy(Lab &lab, const Study &study, Sink &sink,
-              OutputFormat format = OutputFormat::Text);
+              OutputFormat format = OutputFormat::Text, int jobs = 1);
 
 /**
- * Run studies in order: one union-grid prewarm, then each study
- * serially into stdout or `<outDir>/<name>.<ext>`.
+ * Run studies in order: one union-grid prewarm, then each study in
+ * turn into stdout or `<outDir>/<name>.<ext>`, with its inner loops
+ * fanned out over `options.threads` (see ReportContext::parallelFor).
  */
 int runStudies(Lab &lab, const std::vector<const Study *> &studies,
                const StudyOptions &options);

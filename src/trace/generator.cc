@@ -58,19 +58,23 @@ AddressGenerator::sampleDepth()
 uint64_t
 AddressGenerator::next()
 {
-    uint64_t block = 0;
+    uint64_t offset = 0;
     const bool cold = rng.uniform() < coldProb;
     const size_t depth = cold ? maxStackBlocks : sampleDepth();
 
     if (!cold && depth <= stack.size()) {
         // Reuse the block at this stack depth; move it to the front.
-        block = stack.touch(depth);
+        offset = stack.touch(depth);
     } else {
         // Cold or deeper than anything seen: a fresh block.
-        block = (1ull << 40) + nextFreshBlock++;
-        stack.pushFront(block);
+        if (nextFreshBlock > UINT32_MAX)
+            panic("AddressGenerator: fresh blocks exceed the stack's "
+                  "32-bit block ids");
+        offset = nextFreshBlock++;
+        stack.pushFront(static_cast<LruStack::Block>(offset));
     }
-    return block * lineBytes + rng.below(lineBytes / 8) * 8;
+    return (freshBlockBase + offset) * lineBytes +
+        rng.below(lineBytes / 8) * 8;
 }
 
 TraceGenerator::TraceGenerator(const Benchmark &bench, uint64_t seed)

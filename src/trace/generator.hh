@@ -106,6 +106,9 @@ class AddressGenerator
     /** Cache line size assumed by the stack model. */
     static constexpr uint64_t lineBytes = 64;
 
+    /** Block number of the first fresh block. */
+    static constexpr uint64_t freshBlockBase = 1ull << 40;
+
     /** Bound on the modeled stack (blocks); beyond is cold. */
     static constexpr size_t maxStackBlocks = 1u << 20;
 
@@ -125,7 +128,8 @@ class AddressGenerator
     double wsBlocks;     ///< working-set truncation depth (blocks)
     double invNegAlpha;  ///< -1/alpha, hoisted out of sampleDepth
     uint64_t nextFreshBlock;
-    LruStack stack;      ///< order-statistic move-to-front stack
+    /** Move-to-front stack of block offsets from freshBlockBase. */
+    LruStack stack;
     Rng rng;
 };
 

@@ -46,6 +46,13 @@ namespace lhr
 class LruStack
 {
   public:
+    /**
+     * A block id. 32 bits halve the arena against full addresses;
+     * callers with wider block numbers store offsets from a base
+     * (see AddressGenerator).
+     */
+    using Block = uint32_t;
+
     /** @param max_blocks size bound; pushes beyond it evict the back */
     explicit LruStack(size_t max_blocks);
 
@@ -58,7 +65,7 @@ class LruStack
      * Defined inline: the ring-resident shallow case is the common
      * one, and its cost is a short L1 memmove.
      */
-    uint64_t touch(size_t depth)
+    Block touch(size_t depth)
     {
         if (depth == 0 || depth > size())
             panicDepth();
@@ -72,20 +79,23 @@ class LruStack
         // as idx - head so the compiler can bound every memmove by
         // the ring size; otherwise inlined copies trip
         // -Wstringop-overflow at call sites where it cannot see
-        // that large depths were routed to touchDeep above.
+        // that large depths were routed to touchDeep above. The
+        // destination is formed from data(): at head == ringMask it is
+        // one past the end (with a zero length), which operator[]
+        // rejects under _GLIBCXX_ASSERTIONS.
         const size_t head = frontHead & ringMask;
         const size_t idx = (head + depth - 1) & ringMask;
-        const uint64_t block = frontBuf[idx];
+        const Block block = frontBuf[idx];
         if (idx >= head) {
-            std::memmove(&frontBuf[head + 1], &frontBuf[head],
-                         (idx - head) * sizeof(uint64_t));
+            std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
+                         (idx - head) * sizeof(Block));
         } else {
             std::memmove(&frontBuf[1], &frontBuf[0],
-                         idx * sizeof(uint64_t));
+                         idx * sizeof(Block));
             frontBuf[0] = frontBuf[frontCapacity - 1];
-            std::memmove(&frontBuf[head + 1], &frontBuf[head],
+            std::memmove(frontBuf.data() + head + 1, &frontBuf[head],
                          (frontCapacity - 1 - head) *
-                             sizeof(uint64_t));
+                             sizeof(Block));
         }
         frontBuf[head] = block;
         return block;
@@ -96,7 +106,7 @@ class LruStack
      * its bound, the deepest block falls off. Inline fast path: with
      * ring room and the bound unreached, a push is a head decrement.
      */
-    void pushFront(uint64_t block)
+    void pushFront(Block block)
     {
         if (frontCount < frontCapacity && size() < maxBlocks) {
             frontHead = (frontHead - 1) & ringMask;
@@ -131,19 +141,19 @@ class LruStack
     }
 
     /** Arena half of touch(): rank-select, remove, reinsert. */
-    uint64_t touchDeep(size_t depth);
+    Block touchDeep(size_t depth);
 
     /** pushFront() with a full ring or the size bound reached. */
-    void pushFrontSlow(uint64_t block);
+    void pushFrontSlow(Block block);
 
     /** Out-of-line panic keeps touch() small enough to inline. */
     [[noreturn]] static void panicDepth();
 
     /** Make `block` the new depth-1 entry of the ring. */
-    void insertFront(uint64_t block);
+    void insertFront(Block block);
 
     /** Claim the arena slot in front of everything for `block`. */
-    void place(uint64_t block);
+    void place(Block block);
 
     /** Mark an occupied arena slot free. */
     void removeSlot(size_t pos);
@@ -157,12 +167,12 @@ class LruStack
     size_t maxBlocks;
     size_t frontCount;  ///< live ring entries, MRU at frontHead
     size_t frontHead;   ///< ring index of the depth-1 entry
-    std::array<uint64_t, frontCapacity> frontBuf;
+    std::array<Block, frontCapacity> frontBuf;
 
     size_t arenaSize;   ///< multiple of slotsPerBlock
     size_t frontPos;    ///< next arena slot a place() claims, +1
     size_t arenaCount;  ///< occupied arena slots
-    std::vector<uint64_t> slots;
+    std::vector<Block> slots;
     std::vector<uint64_t> words;        ///< occupancy bitmap
     std::vector<uint32_t> blockCounts;  ///< occupancy per 4K slots
     std::vector<uint32_t> superCounts;  ///< occupancy per 256K slots

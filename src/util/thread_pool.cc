@@ -8,6 +8,14 @@
 namespace lhr
 {
 
+namespace
+{
+
+/** The pool whose worker runs on this thread, if any. */
+thread_local const ThreadPool *workerOf = nullptr;
+
+} // namespace
+
 int
 ThreadPool::defaultThreadCount()
 {
@@ -114,6 +122,7 @@ ThreadPool::popTask(size_t index, std::function<void()> &task)
 void
 ThreadPool::workerLoop(size_t index)
 {
+    workerOf = this;
     for (;;) {
         std::function<void()> task;
         if (popTask(index, task)) {
@@ -163,6 +172,11 @@ ThreadPool::drain()
 void
 ThreadPool::wait()
 {
+    // pendingTasks counts the calling task itself, so a worker
+    // waiting on its own pool would block forever.
+    if (workerOf == this)
+        panic("ThreadPool::wait/parallelFor called from one of the "
+              "pool's own workers (it would wait on itself forever)");
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(sleepMutex);

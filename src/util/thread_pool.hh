@@ -60,6 +60,9 @@ class ThreadPool
      * throwing task never takes down a worker or loses its
      * siblings' work: the remaining tasks all still run, and the
      * pool stays usable after the rethrow.
+     *
+     * Panics when called from one of this pool's own workers: the
+     * caller's task is itself pending, so the wait could never end.
      */
     void wait();
 
@@ -76,7 +79,8 @@ class ThreadPool
     /**
      * Run fn(0) .. fn(n-1) across the pool and wait for all of them.
      * Iterations must be independent; they run in arbitrary order on
-     * arbitrary workers. Rethrows like wait() if an iteration threw.
+     * arbitrary workers. Rethrows like wait() if an iteration threw,
+     * and panics like wait() when called from one of the workers.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 

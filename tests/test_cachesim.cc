@@ -5,17 +5,145 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cachesim/cache_sim.hh"
 #include "util/rng.hh"
 
 namespace lhr
 {
 
+namespace
+{
+
+/** The textbook model: one most-recent-first line list per set. */
+class NaiveLruCache
+{
+  public:
+    NaiveLruCache(size_t sets, size_t ways, uint64_t line_bytes)
+        : lists(sets), wayCount(ways), lineBytes(line_bytes)
+    {
+    }
+
+    bool access(uint64_t addr)
+    {
+        const uint64_t line = addr / lineBytes;
+        auto &list = lists[line % lists.size()];
+        const auto it = std::find(list.begin(), list.end(), line);
+        const bool hit = it != list.end();
+        if (hit)
+            list.erase(it);
+        list.insert(list.begin(), line);
+        if (list.size() > wayCount)
+            list.pop_back();
+        if (!hit)
+            ++missCount;
+        return hit;
+    }
+
+    uint64_t misses() const { return missCount; }
+
+    void reset()
+    {
+        for (auto &list : lists)
+            list.clear();
+        missCount = 0;
+    }
+
+  private:
+    std::vector<std::vector<uint64_t>> lists;
+    size_t wayCount;
+    uint64_t lineBytes;
+    uint64_t missCount = 0;
+};
+
+/**
+ * Drive a CacheArray and the naive model with the same seeded stream
+ * and require the same hit/miss on every access. Addresses mix a hot
+ * pool of lines (about twice the capacity, so both hits and
+ * evictions are common) with uniform 64-bit addresses; the cache is
+ * reset halfway through.
+ */
+void
+expectMatchesNaiveLru(double capacity_kb, int ways, int line_bytes,
+                      uint64_t seed)
+{
+    CacheArray cache(capacity_kb, ways, line_bytes);
+    NaiveLruCache naive(cache.sets(), cache.associativity(),
+                        static_cast<uint64_t>(line_bytes));
+    Rng rng(seed);
+    const uint64_t lines = cache.sets() * cache.associativity();
+    std::vector<uint64_t> pool(2 * lines + 1);
+    for (auto &addr : pool)
+        addr = rng.next();
+
+    const int steps = 40000;
+    uint64_t hits = 0;
+    for (int i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            cache.reset();
+            naive.reset();
+            EXPECT_EQ(cache.accesses(), 0u);
+            EXPECT_EQ(cache.misses(), 0u);
+        }
+        const uint64_t addr = rng.uniform() < 0.9
+            ? pool[rng.below(pool.size())] + rng.below(line_bytes)
+            : rng.next();
+        const bool expect = naive.access(addr);
+        ASSERT_EQ(cache.access(addr), expect)
+            << capacity_kb << "KB " << ways << "-way, step " << i;
+        hits += expect ? 1 : 0;
+    }
+    EXPECT_EQ(cache.accesses(), static_cast<uint64_t>(steps / 2));
+    EXPECT_EQ(cache.misses(), naive.misses());
+    // The stream must exercise both outcomes to prove anything.
+    EXPECT_GT(hits, static_cast<uint64_t>(steps / 10));
+    EXPECT_GT(naive.misses(), static_cast<uint64_t>(steps / 100));
+}
+
+} // namespace
+
+TEST(CacheArray, MatchesNaiveLruDirectMapped)
+{
+    expectMatchesNaiveLru(32.0, 1, 64, 1);
+}
+
+TEST(CacheArray, MatchesNaiveLruEightWay)
+{
+    expectMatchesNaiveLru(32.0, 8, 64, 2);
+}
+
+TEST(CacheArray, MatchesNaiveLruSixteenWay)
+{
+    expectMatchesNaiveLru(256.0, 16, 64, 3);
+}
+
+TEST(CacheArray, MatchesNaiveLruOneFullyAssociativeSet)
+{
+    CacheArray probe(4.0, 64);
+    ASSERT_EQ(probe.sets(), 1u);
+    expectMatchesNaiveLru(4.0, 64, 64, 4);
+}
+
+TEST(CacheArray, MatchesNaiveLruNonPowerOfTwoGeometry)
+{
+    // 48KB / 8 ways = 96 sets, rounded down to 64; 6KB / 3 ways =
+    // 32 sets of a non-power-of-two associativity; 32-byte lines.
+    expectMatchesNaiveLru(48.0, 8, 64, 5);
+    expectMatchesNaiveLru(6.0, 3, 64, 6);
+    expectMatchesNaiveLru(16.0, 4, 32, 7);
+}
+
 TEST(CacheArray, GeometryValidation)
 {
     EXPECT_DEATH(CacheArray(0.0, 8), "geometry");
     EXPECT_DEATH(CacheArray(32.0, 0), "geometry");
     EXPECT_DEATH(CacheArray(32.0, 8, 63), "geometry");
+    // One set of 1-byte lines would let a tag reach the invalid-way
+    // sentinel; two sets or wider lines cannot.
+    EXPECT_DEATH(CacheArray(1.0 / 1024, 1, 1), "geometry");
+    EXPECT_EQ(CacheArray(2.0 / 1024, 1, 1).sets(), 2u);
     const CacheArray cache(32.0, 8);
     EXPECT_EQ(cache.associativity(), 8);
     EXPECT_EQ(cache.sets(), 64);

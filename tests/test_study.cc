@@ -2,16 +2,25 @@
  * @file
  * Tests for the study framework (src/study/): registry integrity,
  * the declared-grid contract (prewarming a study's grid makes its
- * run() execute entirely from the memo cache), and golden-output
- * byte identity for representative text reports.
+ * run() execute entirely from the memo cache), golden-output byte
+ * identity for representative text reports, and the job-count
+ * independence of ReportContext::parallelFor.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "core/lab.hh"
 #include "study/study.hh"
@@ -36,6 +45,35 @@ goldenFile(const std::string &name)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** A study's text artifact as `lhrlab run <name> --jobs N --out` writes it. */
+std::string
+renderThroughDriver(const std::string &name, int jobs)
+{
+    const Study *study = StudyRegistry::instance().find(name);
+    EXPECT_NE(study, nullptr);
+    const auto dir = std::filesystem::temp_directory_path() /
+        ("lhr_study_" + name + "_j" + std::to_string(jobs) + "_" +
+         std::to_string(::getpid()));
+    Lab lab;
+    StudyOptions options;
+    options.outDir = dir.string();
+    options.threads = jobs;
+    EXPECT_EQ(runStudies(lab, {study}, options), 0);
+    const std::string text = readFile(dir / (name + ".txt"));
+    std::filesystem::remove_all(dir);
+    return text;
 }
 
 std::string
@@ -152,6 +190,109 @@ TEST(StudyGolden, Table3MatchesGoldenBytes)
 {
     Lab lab;
     EXPECT_EQ(renderText(lab, "table3"), goldenFile("table3"));
+}
+
+// The simulator ablations fan out over --jobs; their fixed trace
+// seeds make these goldens independent of the lab seed.
+TEST(StudyGolden, AblationPipesimMatchesGoldenBytesAtAnyJobs)
+{
+    const std::string golden = goldenFile("ablation_pipesim");
+    EXPECT_EQ(renderThroughDriver("ablation_pipesim", 1), golden);
+    EXPECT_EQ(renderThroughDriver("ablation_pipesim", 3), golden);
+}
+
+TEST(StudyGolden, AblationTracesimMatchesGoldenBytesAtAnyJobs)
+{
+    const std::string golden = goldenFile("ablation_tracesim");
+    EXPECT_EQ(renderThroughDriver("ablation_tracesim", 1), golden);
+    EXPECT_EQ(renderThroughDriver("ablation_tracesim", 3), golden);
+}
+
+TEST(StudyParallelFor, RunsEveryIndexOnceAtAnyJobCount)
+{
+    std::ostringstream out;
+    TextSink sink(out);
+    for (const int jobs : {1, 2, 3, 8}) {
+        for (const size_t n : {size_t{0}, size_t{1}, size_t{2},
+                               size_t{17}}) {
+            ReportContext ctx(sink, OutputFormat::Text, jobs);
+            std::vector<std::atomic<int>> hits(n);
+            ctx.parallelFor(n, [&hits](size_t i) { ++hits[i]; });
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "jobs " << jobs << " n " << n << " index " << i;
+        }
+    }
+}
+
+TEST(StudyParallelFor, NeverExceedsItsJobsCountingTheCaller)
+{
+    std::ostringstream out;
+    TextSink sink(out);
+    for (const int jobs : {1, 3}) {
+        ReportContext ctx(sink, OutputFormat::Text, jobs);
+        std::atomic<int> inFlight{0}, peak{0};
+        std::atomic<bool> callerWorked{false};
+        const auto caller = std::this_thread::get_id();
+        ctx.parallelFor(24, [&](size_t) {
+            const int now = ++inFlight;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            if (std::this_thread::get_id() == caller)
+                callerWorked = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            --inFlight;
+        });
+        EXPECT_LE(peak.load(), jobs);
+        EXPECT_GE(peak.load(), 1);
+        EXPECT_TRUE(callerWorked.load()) << "jobs " << jobs;
+    }
+}
+
+TEST(StudyParallelFor, NestedCallRunsSerially)
+{
+    std::ostringstream out;
+    TextSink sink(out);
+    ReportContext ctx(sink, OutputFormat::Text, 4);
+    std::atomic<int> strays{0};
+    ctx.parallelFor(4, [&](size_t) {
+        const auto outer = std::this_thread::get_id();
+        ctx.parallelFor(8, [&](size_t) {
+            if (std::this_thread::get_id() != outer)
+                ++strays;
+        });
+    });
+    EXPECT_EQ(strays.load(), 0);
+}
+
+TEST(StudyParallelFor, RethrowsTheLowestFailingIndexAfterAllRan)
+{
+    std::ostringstream out;
+    TextSink sink(out);
+    for (const int jobs : {1, 3}) {
+        ReportContext ctx(sink, OutputFormat::Text, jobs);
+        std::atomic<int> ran{0};
+        try {
+            ctx.parallelFor(16, [&ran](size_t i) {
+                ++ran;
+                if (i == 5 || i == 11)
+                    throw std::runtime_error("iteration " +
+                                             std::to_string(i));
+            });
+            FAIL() << "parallelFor swallowed the exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "iteration 5");
+        }
+        EXPECT_EQ(ran.load(), 16);
+    }
+}
+
+TEST(StudyParallelFor, RejectsAJobCountBelowOne)
+{
+    std::ostringstream out;
+    TextSink sink(out);
+    EXPECT_DEATH(ReportContext(sink, OutputFormat::Text, 0), "jobs");
 }
 
 TEST(StudySeed, LabSeedIsConfigurable)

@@ -159,6 +159,37 @@ TEST(ThreadPool, CancelIsCooperativeAndResettable)
     EXPECT_FALSE(pool.cancelled());
 }
 
+TEST(ThreadPool, WaitFromOwnWorkerDies)
+{
+    // The calling task is itself pending, so the wait could never
+    // end; it must fail loudly instead of hanging.
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(2);
+            pool.submit([&pool] { pool.wait(); });
+            pool.wait();
+        },
+        "own workers");
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(2);
+            pool.submit([&pool] { pool.parallelFor(4, [](size_t) {}); });
+            pool.wait();
+        },
+        "own workers");
+}
+
+TEST(ThreadPool, WaitFromAnotherPoolsWorkerIsFine)
+{
+    ThreadPool outer(2);
+    ThreadPool inner(2);
+    std::atomic<int> counter{0};
+    outer.parallelFor(4, [&](size_t) {
+        inner.parallelFor(8, [&counter](size_t) { ++counter; });
+    });
+    EXPECT_EQ(counter.load(), 32);
+}
+
 TEST(Sweep, PoisonedConfigDegradesToOneFlaggedRow)
 {
     // The acceptance scenario of the fault rig: the paper's full 45
