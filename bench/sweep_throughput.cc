@@ -1,13 +1,12 @@
 /**
  * @file
  * Perf baseline of the parallel sweep engine: runs the experimental
- * grid serially (one worker, batch fill) and in parallel (all
- * workers), repeats each mode to separate signal from scheduler
- * noise, verifies batch fill, scalar per-cell fill and the parallel
- * run all produce bit-identical Measurements, and reports min/median
- * wall time, throughput (experiments/sec), speedup and cache
- * behaviour. Future PRs compare against these numbers before
- * touching the hot path — bench/bench_compare.cc gates CI on the
+ * grid serially (one worker) and in parallel (all workers), repeats
+ * each mode to separate signal from scheduler noise, verifies the
+ * serial and parallel runs produce bit-identical Measurements, and
+ * reports min/median wall time, throughput (experiments/sec),
+ * speedup and cache behaviour. Changes to the hot path are measured
+ * against these numbers — bench/bench_compare.cc gates CI on the
  * medians (see DESIGN.md §8).
  *
  * Writes the measurements to BENCH_sweep.json (one record per run:
@@ -194,14 +193,12 @@ main(int argc, char **argv)
     // holders live outside the loop because a SweepReport's cells
     // point into its runner's memo cache: the runners backing the
     // kept reports must outlive the reporting below.
-    RepeatedRun serialRun, parallelRun, cachedRun, scalarRun;
+    RepeatedRun serialRun, parallelRun, cachedRun;
     size_t parallelMismatches = 0;
-    size_t scalarFillMismatches = 0;
     std::unique_ptr<lhr::ExperimentRunner> serialRunner;
     std::unique_ptr<lhr::ExperimentRunner> parallelRunner;
-    std::unique_ptr<lhr::ExperimentRunner> scalarRunner;
     for (int rep = 0; rep < reps; ++rep) {
-        // Serial baseline: one worker, batch fill (the default).
+        // Serial baseline: one worker.
         serialRunner = std::make_unique<lhr::ExperimentRunner>();
         lhr::SweepEngine serial(*serialRunner, {.threads = 1});
         lhr::SweepReport serialReport = serial.run(configs, benchmarks);
@@ -223,21 +220,6 @@ main(int argc, char **argv)
         parallelMismatches +=
             mismatchingCells(serialReport, parallelReport);
 
-        if (rep == 0) {
-            // Scalar per-cell fill, once: the reference path batch
-            // fill must be bit-identical to (and is measured against
-            // as sweep_scalar_fill).
-            scalarRunner = std::make_unique<lhr::ExperimentRunner>();
-            lhr::SweepEngine scalar(
-                *scalarRunner, {.threads = 1, .batchFill = false});
-            lhr::SweepReport scalarReport =
-                scalar.run(configs, benchmarks);
-            scalarRun.wallSec.push_back(scalarReport.wallSec);
-            scalarFillMismatches +=
-                mismatchingCells(serialReport, scalarReport);
-            scalarRun.last = std::move(scalarReport);
-        }
-
         if (rep == reps - 1) {
             serialRun.last = std::move(serialReport);
             parallelRun.last = std::move(parallelReport);
@@ -248,7 +230,6 @@ main(int argc, char **argv)
     show("serial  ", serialRun);
     show("parallel", parallelRun);
     show("cached  ", cachedRun);
-    show("scalar  ", scalarRun);
     std::cout << "\n";
 
     const double speedup = parallelRun.medianWallSec() > 0.0
@@ -258,16 +239,9 @@ main(int argc, char **argv)
               << parallelRun.last.threads << " threads (host reports "
               << lhr::ThreadPool::defaultThreadCount()
               << " available)\n";
-    const double batchSpeedup = serialRun.medianWallSec() > 0.0
-        ? scalarRun.medianWallSec() / serialRun.medianWallSec() : 0.0;
-    std::cout << "batch fill vs scalar fill: " << batchSpeedup
-              << "x on one worker\n";
     std::cout << "bit-identical to serial: "
               << (parallelMismatches == 0 ? "yes" : "NO") << " ("
               << parallelMismatches << " mismatching cells)\n";
-    std::cout << "batch fill bit-identical to scalar fill: "
-              << (scalarFillMismatches == 0 ? "yes" : "NO") << " ("
-              << scalarFillMismatches << " mismatching cells)\n";
     std::cout << "slowest experiment: " << serialRun.last.maxCellSec
               << "s\n";
 
@@ -278,16 +252,11 @@ main(int argc, char **argv)
     record(json, "sweep_serial", grid, serialRun);
     record(json, "sweep_parallel", grid, parallelRun, speedup);
     record(json, "sweep_cached", grid, cachedRun);
-    record(json, "sweep_scalar_fill", grid, scalarRun);
     json.endArray();
     std::cout << "baseline written: " << jsonPath << "\n";
 
     if (parallelMismatches != 0) {
         std::cerr << "FAIL: parallel sweep diverged from serial\n";
-        return 1;
-    }
-    if (scalarFillMismatches != 0) {
-        std::cerr << "FAIL: batch fill diverged from scalar fill\n";
         return 1;
     }
     return 0;

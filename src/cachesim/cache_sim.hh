@@ -7,7 +7,7 @@
  * LRU replacement, access by access. It exists to (a) characterize
  * synthetic traces the way hardware event counters characterize real
  * executions, and (b) cross-validate the analytic curves
- * (bench/ablation_tracesim).
+ * (lhrlab run ablation_tracesim).
  *
  * A cache array is one flat vector of tags, each set's ways kept in
  * recency order (most recent first) with invalid ways, marked by a

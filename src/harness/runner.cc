@@ -266,104 +266,6 @@ ExperimentRunner::profile(const MachineConfig &cfg, const Benchmark &bench)
     return prof;
 }
 
-/**
- * Execution profiles for every lane of one spec's ConfigBatch. JVM
- * executions size their heap per configuration and turbo lanes run
- * the governor's iterative clock search, so those stay scalar; every
- * other lane flows through PerfModel::evaluateBatch and
- * ChipPowerModel::computeBatch in one flat pass. Per lane the result
- * is bit-identical to profile(): the batch entry points share their
- * per-lane bodies with the scalar ones, and the activity composition
- * below repeats activityOf() op for op.
- */
-std::vector<ExecutionProfile>
-ExperimentRunner::profileBatch(const ConfigBatch &batch,
-                               const Benchmark &bench)
-{
-    const ProcessorSpec &spec = *batch.spec;
-    std::vector<ExecutionProfile> profiles(batch.size());
-
-    std::vector<size_t> plainLanes;
-    plainLanes.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const MachineConfig &cfg = *batch.configs[i];
-        if (bench.language() == Language::Java ||
-            (spec.hasTurbo && cfg.turboEnabled))
-            profiles[i] = profile(cfg, bench);
-        else
-            plainLanes.push_back(i);
-    }
-    if (plainLanes.empty())
-        return profiles;
-
-    const PerfModel &perf = perfModel(spec);
-    const ChipPowerModel &power = powerModel(spec);
-    const double work = bench.instructionsB() * 1e9;
-
-    ConfigBatch sub; // plain lanes, remembering their batch index
-    for (const size_t i : plainLanes)
-        sub.push(*batch.configs[i], i);
-
-    thread_local Arena arena;
-    arena.reset();
-
-    // AVX license derating (see profile()): lanes of a derated spec
-    // run and burn power at the licensed clock. The nullptr fast path
-    // (each lane's BIOS clock) is kept for penalty-free specs so the
-    // paper grid's batch arithmetic is untouched.
-    const double *laneClock = nullptr;
-    if (spec.avxClockPenalty > 0.0) {
-        const double derate =
-            1.0 - spec.avxClockPenalty * bench.fpShare;
-        double *clk = arena.alloc<double>(sub.size());
-        for (size_t j = 0; j < sub.size(); ++j)
-            clk[j] = sub.clockGhz[j] * derate;
-        laneClock = clk;
-    }
-
-    const PerfBatch runs =
-        perf.evaluateBatch(bench, sub, laneClock, work,
-                           bench.appThreads, arena);
-
-    // Switching activity per lane: activityOf(), flattened onto the
-    // batch's ragged core rows.
-    double *act = arena.alloc<double>(runs.utilOffset[runs.lanes]);
-    for (size_t j = 0; j < runs.lanes; ++j) {
-        const double smtBoost = 0.07 * (runs.threadsPerCore[j] - 1);
-        const double *util = runs.utilRow(j);
-        double *row = act + runs.utilOffset[j];
-        for (size_t c = 0; c < runs.utilCount(j); ++c) {
-            row[c] = util[c] > 0.0
-                ? std::min(1.0, switchingActivity(util[c],
-                                                  bench.fpShare) +
-                               smtBoost)
-                : 0.0;
-        }
-    }
-    const PowerBatch pw =
-        power.computeBatch(sub, laneClock, act, runs.utilOffset,
-                           runs.llcActivity, runs.dramGBs, arena);
-
-    for (size_t j = 0; j < runs.lanes; ++j) {
-        ExecutionProfile &prof = profiles[sub.sourceIndex[j]];
-        prof.timeSec = runs.timeSec[j];
-        prof.grantedClockGhz = sub.clockGhz[j]; // no turbo: BIOS clock
-        prof.effectiveClockGhz =
-            laneClock ? laneClock[j] : sub.clockGhz[j];
-        prof.coreActivity.assign(act + runs.utilOffset[j],
-                                 act + runs.utilOffset[j + 1]);
-        prof.llcActivity = runs.llcActivity[j];
-        prof.dramGBs = runs.dramGBs[j];
-        int active = 0;
-        for (const double a : prof.coreActivity)
-            if (a > 0.0)
-                ++active;
-        prof.activeCores = std::max(1, active);
-        prof.power = pw.breakdown(j);
-    }
-    return profiles;
-}
-
 const Measurement &
 ExperimentRunner::measure(const MachineConfig &cfg, const Benchmark &bench)
 {
@@ -394,95 +296,6 @@ ExperimentRunner::measure(const MachineConfig &cfg, const Benchmark &bench)
         entry->ready.store(true, std::memory_order_release);
     });
     return entry->value;
-}
-
-std::vector<ExperimentRunner::BatchOutcome>
-ExperimentRunner::measureBatch(
-    const std::vector<const MachineConfig *> &configs,
-    const Benchmark &bench)
-{
-    std::vector<BatchOutcome> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    // Cache lookup for every cell up front — same keys and the same
-    // per-shard hit/miss accounting as measure(): the cell that
-    // inserts its entry is the miss, every other lookup a hit
-    // (duplicates within one call included).
-    std::vector<MemoEntry *> entries(configs.size());
-    std::vector<const MachineConfig *> pendingCfg;
-    std::vector<size_t> pendingOut;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (configs[i] == nullptr)
-            panic("ExperimentRunner::measureBatch: null configuration");
-        const std::string key = ExperimentRunner::keyOf(*configs[i], bench);
-        MemoShard &shard = memoShards[fnv1a(key) % memoShardCount];
-        bool inserted;
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto [it, fresh] = shard.entries.try_emplace(key);
-            if (fresh)
-                it->second = std::make_unique<MemoEntry>();
-            entries[i] = it->second.get();
-            inserted = fresh;
-        }
-        if (inserted) {
-            shard.misses.fetch_add(1, std::memory_order_relaxed);
-            pendingCfg.push_back(configs[i]);
-            pendingOut.push_back(i);
-        } else {
-            shard.hits.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-
-    // Publish cell i through its once_flag. A compute() that throws
-    // leaves the flag unset (exactly measure()'s semantics: the next
-    // caller retries) and degrades only this cell's outcome.
-    auto resolve = [&](size_t i, auto &&compute) {
-        try {
-            std::call_once(entries[i]->once, [&] {
-                entries[i]->value = compute();
-                entries[i]->ready.store(true,
-                                        std::memory_order_release);
-            });
-            out[i].measurement = &entries[i]->value;
-        } catch (const FaultError &e) {
-            out[i].status = e.status();
-        } catch (const std::exception &e) {
-            out[i].status =
-                Status::error(StatusCode::Internal, e.what());
-        }
-    };
-
-    const bool cleanPlan =
-        faults.poisonedConfig.empty() && !faults.injectsSamples();
-    if (cleanPlan && !pendingCfg.empty()) {
-        // The batch fill proper: group this call's fresh cells per
-        // spec and compute their profiles through the SoA model
-        // batch, then run each cell's sampling off its batch lane.
-        for (const ConfigBatch &batch :
-             ConfigBatch::partition(pendingCfg)) {
-            const std::vector<ExecutionProfile> profiles =
-                profileBatch(batch, bench);
-            for (size_t lane = 0; lane < batch.size(); ++lane) {
-                const size_t i = pendingOut[batch.sourceIndex[lane]];
-                resolve(i, [&] {
-                    return measureWithProfile(*batch.configs[lane],
-                                              bench, profiles[lane]);
-                });
-            }
-        }
-    }
-
-    // Hits, faulted plans (poison checks and injection live in the
-    // scalar path), and any cell whose concurrent producer threw all
-    // resolve here; a published entry makes this a plain read.
-    for (size_t i = 0; i < out.size(); ++i) {
-        if (out[i].measurement != nullptr || !out[i].status.ok())
-            continue;
-        resolve(i, [&] { return runMeasurement(*configs[i], bench); });
-    }
-    return out;
 }
 
 bool
@@ -633,20 +446,8 @@ ExperimentRunner::runMeasurement(const MachineConfig &cfg,
             "rig offline for poisoned configuration '" + cfg.label() +
                 "' (" + bench.name + ")"));
     }
-    return measureWithProfile(cfg, bench, profile(cfg, bench));
-}
 
-/**
- * Everything downstream of the execution profile: phase waveform,
- * invocation methodology, the sensor sampling sessions. Split from
- * runMeasurement() so the batch fill path can feed profiles computed
- * through the SoA model batch while sharing the rest verbatim.
- */
-Measurement
-ExperimentRunner::measureWithProfile(const MachineConfig &cfg,
-                                     const Benchmark &bench,
-                                     const ExecutionProfile &prof)
-{
+    const ExecutionProfile prof = profile(cfg, bench);
     const Rig &sensorRig = rig(*cfg.spec);
     const bool java = bench.language() == Language::Java;
 

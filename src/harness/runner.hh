@@ -123,40 +123,6 @@ class ExperimentRunner
                                const Benchmark &bench);
 
     /**
-     * Outcome of one cell of measureBatch(): a cached measurement on
-     * success, or the error that cell's experiment raised. One bad
-     * cell never poisons its batch.
-     */
-    struct BatchOutcome
-    {
-        const Measurement *measurement = nullptr;
-        Status status;
-
-        bool ok() const { return status.ok() && measurement != nullptr; }
-    };
-
-    /**
-     * Measure one benchmark across many configurations — the sweep's
-     * batch fill mode. Semantically measure() per element (same keys,
-     * same cache, same hit/miss accounting: one miss per cell this
-     * call computes, one hit per cell already cached), but pending
-     * cells are grouped per processor spec into ConfigBatches and
-     * their execution profiles computed through the SoA batch model
-     * path (PerfModel::evaluateBatch / ChipPowerModel::computeBatch).
-     * Results are bit-identical to scalar measure() — the batch and
-     * scalar paths share their per-lane implementations.
-     *
-     * Cells whose plan is faulted (a poisoned configuration or
-     * nonzero injection rates) fall back to the scalar path cell by
-     * cell, so fault behaviour is exactly measure()'s; the outcome
-     * of a throwing cell carries the error while clean cells of the
-     * same batch are unaffected.
-     */
-    std::vector<BatchOutcome>
-    measureBatch(const std::vector<const MachineConfig *> &configs,
-                 const Benchmark &bench);
-
-    /**
      * Install a fault model. Experiments on the plan's poisoned
      * configuration throw FaultError from measure(); nonzero rates
      * route sampling through the FaultInjector. Must be called
@@ -346,11 +312,6 @@ class ExperimentRunner
     const Rig &rig(const ProcessorSpec &spec);
     Measurement runMeasurement(const MachineConfig &cfg,
                                const Benchmark &bench);
-    Measurement measureWithProfile(const MachineConfig &cfg,
-                                   const Benchmark &bench,
-                                   const ExecutionProfile &prof);
-    std::vector<ExecutionProfile> profileBatch(const ConfigBatch &batch,
-                                               const Benchmark &bench);
     Measurement faultedMeasurement(const MachineConfig &cfg,
                                    const Benchmark &bench,
                                    const ExecutionProfile &prof,

@@ -11,7 +11,7 @@
  * kernel [bug #5471]" (section 2.8). This module models both the
  * cpufreq governors of the 2.6.31 kernel the paper ran and the buggy
  * offline path, so the methodological choice can be demonstrated
- * quantitatively (bench/ablation_os_scaling).
+ * quantitatively (lhrlab run ablation_os_scaling).
  */
 
 #ifndef LHR_OS_GOVERNOR_HH

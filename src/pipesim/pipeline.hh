@@ -9,7 +9,7 @@
  * out-of-order window (or strict in-order issue for Bonnell), load
  * latencies probed from the structural cache simulator, and branch
  * misprediction flushes from a simulated predictor. The two layers
- * cross-validate in bench/ablation_pipesim and
+ * cross-validate in `lhrlab run ablation_pipesim` and
  * tests/test_pipesim.cc, the way detailed and functional modes of a
  * production simulator keep each other honest.
  */

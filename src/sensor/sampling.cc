@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "sensor/gauss_kernel.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 
 namespace lhr
@@ -20,58 +20,62 @@ sampleSessionWatts(const PowerChannel &channel,
 {
     static const GaussKernelFn kernel = resolveGaussKernel();
     static const SampleQuantizeFn quantize = resolveSampleQuantize();
-    thread_local Arena arena;
-    arena.reset();
 
     if (samples <= 0 || phases <= 0)
         panic("sampleSessionWatts: empty session");
 
+    // Per-thread scratch, grown to the largest session seen and never
+    // shrunk. Every element a session reads it first writes, so an
+    // earlier, larger session's leftovers never reach the sum.
+    thread_local std::vector<double> G1, G2, u1, u2, gc, gs, W;
+    thread_local std::vector<int32_t> counts, uncertain;
+    const size_t n = static_cast<size_t>(samples);
+    if (W.size() < n) {
+        for (std::vector<double> *buf : {&G1, &G2, &u1, &u2, &gc, &gs, &W})
+            buf->resize(n);
+        counts.resize(n);
+        uncertain.resize(n);
+    }
+
     // ---- Gaussian stream ------------------------------------------
     // The scalar loop draws 2 gaussians per sample: supply ripple
-    // (G1), then sensor noise (G2). A Java preamble leaves the
-    // second half of a Box-Muller pair cached in inv_rng; drain it
-    // first (it is already exact), which shifts every following pair
-    // by one slot. Gaussian stream slot i lands in (i odd ? G2 : G1)
-    // [i / 2], so the two per-sample streams come out deinterleaved
-    // for the batch quantizer.
-    const size_t need = 2 * static_cast<size_t>(samples);
-    double *G1 = arena.alloc<double>(samples);
-    double *G2 = arena.alloc<double>(samples);
-    const auto slot = [&](size_t i) -> double & {
-        return (i & 1 ? G2 : G1)[i >> 1];
-    };
-    size_t drained = 0;
-    while (inv_rng.hasPendingGaussian() && drained < need) {
-        slot(drained) = inv_rng.gaussian();
-        ++drained;
-    }
+    // (G1), then sensor noise (G2), so stream slot i belongs to
+    // (i odd ? G2 : G1)[i / 2]. A Java preamble can leave the second
+    // half of a Box-Muller pair cached in inv_rng; it is already
+    // exact and becomes G1[0], which shifts every following pair by
+    // one slot. Rng caches at most one half, so drained is 0 or 1.
+    const bool drained = inv_rng.hasPendingGaussian();
+    if (drained)
+        G1[0] = inv_rng.gaussian();
 
     // Uniforms come from the real generator in the exact scalar
     // order (u1 positive-rejected, then u2), so the raw stream is
-    // untouched; only log/sin/cos go through the batch kernel.
-    const size_t pairs = (need - drained + 1) / 2;
-    double *u1 = arena.alloc<double>(pairs);
-    double *u2 = arena.alloc<double>(pairs);
-    for (size_t j = 0; j < pairs; ++j) {
+    // untouched; only log/sin/cos go through the batch kernel. A
+    // session takes `samples` fresh pairs either way.
+    for (size_t j = 0; j < n; ++j) {
         u1[j] = inv_rng.uniformPositive();
         u2[j] = inv_rng.uniform();
     }
-    double *gc = arena.alloc<double>(pairs);
-    double *gs = arena.alloc<double>(pairs);
-    kernel(u1, u2, gc, gs, pairs);
-    for (size_t j = 0; j < pairs; ++j) {
-        const size_t ci = drained + 2 * j;
-        if (ci < need)
-            slot(ci) = gc[j];
-        if (ci + 1 < need)
-            slot(ci + 1) = gs[j]; // last half may fall off: discarded
+    kernel(u1.data(), u2.data(), gc.data(), gs.data(), n);
+    if (drained) {
+        // Pair j fills slots 2j+1 (G2[j]) and 2j+2 (G1[j+1]); the
+        // last pair's second half falls off the session: discarded.
+        for (size_t j = 0; j < n; ++j)
+            G2[j] = gc[j];
+        for (size_t j = 0; j + 1 < n; ++j)
+            G1[j + 1] = gs[j];
+    } else {
+        for (size_t j = 0; j < n; ++j) {
+            G1[j] = gc[j];
+            G2[j] = gs[j];
+        }
     }
 
     // Exact value of gaussian slot i, for fallback lanes.
     auto exactG = [&](size_t i) {
-        if (i < drained)
-            return slot(i); // drained halves were computed by libm
-        const size_t rel = i - drained;
+        if (drained && i == 0)
+            return G1[0]; // the drained half was computed by libm
+        const size_t rel = i - (drained ? 1 : 0);
         const size_t j = rel >> 1;
         const double r = std::sqrt(-2.0 * std::log(u1[j]));
         const double theta = 2.0 * M_PI * u2[j];
@@ -113,7 +117,6 @@ sampleSessionWatts(const PowerChannel &channel,
     // ---- Quantize the whole session in batch ----------------------
     // W[s] = phase power x invocation scale, the sample's pre-ripple
     // watts; k = (s * phases) / samples tracked incrementally.
-    double *W = arena.alloc<double>(samples);
     {
         int k = 0, rem = 0;
         for (int s = 0; s < samples; ++s) {
@@ -126,10 +129,9 @@ sampleSessionWatts(const PowerChannel &channel,
         }
     }
 
-    int32_t *counts = arena.alloc<int32_t>(samples);
-    int32_t *uncertain = arena.alloc<int32_t>(samples);
     const size_t flagged =
-        quantize(W, G1, G2, samples, p, counts, uncertain);
+        quantize(W.data(), G1.data(), G2.data(), samples, p,
+                 counts.data(), uncertain.data());
 
     // Boundary-straddling (or near-zero power) lanes: redo with
     // exact libm gaussians and the quantizer's own rounding,

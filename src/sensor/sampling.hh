@@ -32,7 +32,8 @@
  *
  * The result is therefore the same double runMeasurement's legacy
  * loop produced, on every input, on every CPU — the golden-output
- * and batch-equivalence tests pin this down.
+ * tests and the per-sample chain comparison in
+ * tests/test_sensor_backend.cc pin this down.
  */
 
 #ifndef LHR_SENSOR_SAMPLING_HH

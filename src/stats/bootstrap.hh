@@ -5,7 +5,7 @@
  * The paper's Table 2 uses Student-t intervals, which assume
  * normality — shaky at SPEC's prescribed three runs. The percentile
  * bootstrap makes no distributional assumption; the methodology
- * ablation (bench/ablation_bootstrap) compares the two at the
+ * ablation (lhrlab run ablation_bootstrap) compares the two at the
  * paper's repetition counts.
  */
 

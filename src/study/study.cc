@@ -451,13 +451,4 @@ runStudyCommand(const std::vector<std::string> &args)
     return runStudies(lab, studies, options);
 }
 
-int
-studyMain(const char *name, int argc, char **argv)
-{
-    std::vector<std::string> args = {name};
-    for (int i = 1; i < argc; ++i)
-        args.emplace_back(argv[i]);
-    return runStudyCommand(args);
-}
-
 } // namespace lhr

@@ -56,22 +56,6 @@ struct SweepOptions
     /** Worker threads; 0 = ThreadPool::defaultThreadCount(). */
     int threads = 0;
 
-    /**
-     * Fill the grid benchmark by benchmark through
-     * ExperimentRunner::measureBatch (one pool task per benchmark,
-     * SoA batch model evaluation across that benchmark's pending
-     * configurations) instead of cell by cell. Results are
-     * bit-identical either way; the batch mode only changes how the
-     * work is traversed. The engine automatically falls back to the
-     * per-cell path when semantics require it: an installed fault
-     * plan (poisoned configuration or injection rates), a per-cell
-     * wall-time budget (cellTimeoutSec), or failure-triggered
-     * cancellation (maxFailures >= 0) all need true per-cell
-     * execution. In batch mode a cell's wallSec is its group's wall
-     * time divided evenly across the group's cells.
-     */
-    bool batchFill = true;
-
     /** Emit progress/throughput lines to stderr while sweeping. */
     bool progress = false;
 
@@ -127,7 +111,7 @@ struct SweepOptions
 
     /**
      * Cooperative stop request (typically set by a SIGINT/SIGTERM
-     * handler): checked before each batch group / cell, so a stop
+     * handler): checked before each cell, so a stop
      * lands at the next cell boundary. Cells not yet started come
      * back StatusCode::Cancelled without running; cells already
      * measuring finish normally — their rows are kept, which is

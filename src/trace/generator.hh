@@ -12,7 +12,7 @@
  *    distances are Pareto-distributed with the benchmark's locality
  *    exponent, so a cache of capacity C misses at the rate the
  *    analytic MissCurve predicts — the trace substrate and the
- *    interval model cross-validate (see bench/ablation_tracesim);
+ *    interval model cross-validate (lhrlab run ablation_tracesim);
  *  - cold/streaming misses touch never-seen blocks at the curve's
  *    floor rate;
  *  - branches are drawn from a static-branch population whose biases

@@ -14,7 +14,7 @@ namespace lhr
 namespace
 {
 
-constexpr size_t initialArena = 8192;
+constexpr size_t initialSlots = 8192;
 
 #if defined(__x86_64__)
 /** BMI2 path: deposit a single bit at the rank-th set position. */
@@ -45,10 +45,10 @@ selectBit(uint64_t word, size_t rank)
 
 LruStack::LruStack(size_t max_blocks)
     : maxBlocks(max_blocks), frontCount(0), frontHead(0),
-      arenaSize(initialArena), frontPos(initialArena), arenaCount(0),
-      slots(initialArena, 0), words(initialArena / slotsPerWord, 0),
-      blockCounts(blockEntries(initialArena), 0),
-      superCounts((initialArena + slotsPerSuper - 1) / slotsPerSuper,
+      arenaSize(initialSlots), frontPos(initialSlots), arenaCount(0),
+      slots(initialSlots, 0), words(initialSlots / slotsPerWord, 0),
+      blockCounts(blockEntries(initialSlots), 0),
+      superCounts((initialSlots + slotsPerSuper - 1) / slotsPerSuper,
                   0)
 {
     static_assert((frontCapacity & (frontCapacity - 1)) == 0);
@@ -66,7 +66,7 @@ LruStack::removeSlot(size_t pos)
     // Removals punch holes into the live span; recompact before the
     // span gets less than half occupied so select() scans stay short.
     const size_t span = arenaSize - frontPos;
-    if (span > 2 * arenaCount && span > initialArena)
+    if (span > 2 * arenaCount && span > initialSlots)
         rebuild();
 }
 
@@ -122,9 +122,9 @@ LruStack::rebuild()
     // Compact the live slots, in order, to the right end of an arena
     // sized so at least 3/4 is spare: the next compaction is then at
     // least max(arenaCount, 3/4 arena) operations away.
-    size_t newArena = initialArena;
-    while (newArena < 4 * arenaCount)
-        newArena <<= 1;
+    size_t newSize = initialSlots;
+    while (newSize < 4 * arenaCount)
+        newSize <<= 1;
 
     std::vector<Block> ordered;
     ordered.reserve(arenaCount);
@@ -138,7 +138,7 @@ LruStack::rebuild()
         }
     }
 
-    arenaSize = newArena;
+    arenaSize = newSize;
     slots.assign(arenaSize, 0);
     words.assign(arenaSize / slotsPerWord, 0);
     blockCounts.assign(blockEntries(arenaSize), 0);

@@ -124,7 +124,7 @@ class LruStack
     static constexpr size_t spillKeep = frontCapacity / 2;
     /** Index mask for the power-of-two ring. */
     static constexpr size_t ringMask = frontCapacity - 1;
-    /** Arena slots per bitmap word / count block / count super. */
+    /** Slots per arena bitmap word / count block / count super. */
     static constexpr size_t slotsPerWord = 64;
     static constexpr size_t slotsPerBlock = 64 * slotsPerWord;
     static constexpr size_t slotsPerSuper = 64 * slotsPerBlock;
@@ -140,7 +140,7 @@ class LruStack
         return (arena / slotsPerBlock + 3) & ~size_t{3};
     }
 
-    /** Arena half of touch(): rank-select, remove, reinsert. */
+    /** The arena half of touch(): rank-select, remove, reinsert. */
     Block touchDeep(size_t depth);
 
     /** pushFront() with a full ring or the size bound reached. */

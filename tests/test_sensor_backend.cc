@@ -40,6 +40,27 @@ identical(const Measurement &a, const Measurement &b)
         a.invocations == b.invocations;
 }
 
+/**
+ * The scalar chain sampleSessionWatts must reproduce bit for bit:
+ * per sample a ripple gaussian, PowerChannel::sampleCounts (which
+ * draws the noise gaussian), then the calibration decode, summed in
+ * sample order.
+ */
+double
+perSampleWatts(const PowerChannel &channel, const Calibration &calib,
+               const std::vector<double> &phases, double scale,
+               int samples, Rng &rng)
+{
+    const int n = static_cast<int>(phases.size());
+    double sum = 0.0;
+    for (int s = 0; s < samples; ++s) {
+        const double trueW = phases[(s * n) / samples] * scale *
+            (1.0 + 0.003 * rng.gaussian());
+        sum += calib.wattsFromCounts(channel.sampleCounts(trueW, rng));
+    }
+    return sum;
+}
+
 /** Clears the process-wide backend override on scope exit. */
 struct OverrideGuard
 {
@@ -87,6 +108,56 @@ TEST(SensorBackend, HallSessionIsBitIdenticalToTheChannelChain)
     EXPECT_EQ(a, b);
     // ... and leaves the invocation stream at the same position.
     EXPECT_EQ(viaSensor.next(), viaChain.next());
+}
+
+TEST(SensorBackend, SessionMatchesThePerSampleChainBitForBit)
+{
+    // The batched session deinterleaves one gaussian stream into the
+    // ripple and noise halves of every sample, and a pending
+    // Box-Muller half shifts that stream by one slot. A larger
+    // session runs first so the thread's scratch is dirty: a slot
+    // the deinterleave skipped would read a stale value, not a zero.
+    struct Rig
+    {
+        SensorVariant variant;
+        std::vector<double> phases;
+    };
+    // The 5A part's waveform crosses its 60W rated range.
+    const Rig rigs[] = {
+        {SensorVariant::A30, kPhases},
+        {SensorVariant::A5, {52.0, 63.0, 58.5, 61.0, 49.0}},
+    };
+    for (const Rig &rig : rigs) {
+        const PowerChannel channel(rig.variant, 0x51);
+        Rng calRng(0x52);
+        const Calibration calib = Calibration::calibrate(channel, calRng);
+        const int phases = static_cast<int>(rig.phases.size());
+
+        Rng warm(0x53);
+        EXPECT_GT(sampleSessionWatts(channel, calib, rig.phases.data(),
+                                     phases, 1.0, 4000, warm),
+                  0.0);
+
+        for (const int samples : {1, 2, 333, 1500}) {
+            for (const bool pending : {false, true}) {
+                Rng batched(0x54 + samples), scalar(0x54 + samples);
+                if (pending) {
+                    EXPECT_EQ(batched.gaussian(), scalar.gaussian());
+                }
+                ASSERT_EQ(batched.hasPendingGaussian(), pending);
+                EXPECT_EQ(sampleSessionWatts(channel, calib,
+                                             rig.phases.data(), phases,
+                                             1.01, samples, batched),
+                          perSampleWatts(channel, calib, rig.phases,
+                                         1.01, samples, scalar))
+                    << (rig.variant == SensorVariant::A5 ? "A5" : "A30")
+                    << ", " << samples
+                    << " samples, pending half " << pending;
+                // Both consumed the same uniforms.
+                EXPECT_EQ(batched.next(), scalar.next());
+            }
+        }
+    }
 }
 
 TEST(SensorBackend, HallBeginSessionDrawsNothing)
